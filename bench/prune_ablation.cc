@@ -1,8 +1,8 @@
 // Prune ablation: what the AbsIR dataflow pruner (src/analysis) buys the
 // symbolic-execution stage. For each engine version the same zone is verified
 // three times — pruning off, baseline (intraprocedural) pruning, and pruning
-// fed by the interprocedural analysis suite (callgraph + summaries + SCCP +
-// escape facts) — and the table compares paths explored, solver checks, and
+// fed by the interprocedural analysis suite (callgraph + summaries + SCCP) —
+// and the table compares paths explored, solver checks, and
 // wall-clock across the `analysis: baseline|interproc` axis. The pruner is
 // sound in both modes (a guard is rewritten only when its panic side is
 // proved infeasible), so all three runs must agree on the verdict and every
@@ -59,7 +59,7 @@ int RunAblation() {
   std::printf("Prune ablation: dataflow-discharged panic guards vs. plain exploration\n");
   std::printf("zone: example.com (wildcard + delegation + CNAME)\n");
   std::printf("analysis axis: baseline = PR-2 intraprocedural pruner; interproc =\n");
-  std::printf("SCCP + callee summaries + escape facts feeding the same pruner\n\n");
+  std::printf("SCCP + callee summaries feeding the same pruner\n\n");
   std::printf("%-8s %7s | %8s %10s %10s | %10s %10s | %s\n", "version", "paths",
               "checks", "checks.base", "checks.ipa", "disch.base", "disch.ipa",
               "pruned base/ipa");

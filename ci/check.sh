@@ -71,6 +71,12 @@ rm -rf "$store_dir"
 grep -q "incremental: replayed" <<<"$warm_out"
 grep -Eq "layers ([0-9]+)/\1 reused" <<<"$warm_out"
 
+# Benchmark self-test (perfbench/README.md): builds the benchmark binary
+# against this tree's src/ in Release, then checks that its answer and
+# verdict checks catch planted faults. A src/ change that breaks the
+# benchmark's build or its checks fails here.
+python3 perfbench/run.py --selftest
+
 if [[ "${1:-}" == "--fast" ]]; then
   echo "=== --fast: skipping sanitizer pass ==="
   exit 0

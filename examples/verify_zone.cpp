@@ -3,7 +3,7 @@
 //
 //   $ ./examples/verify_zone [version] [zone-file]
 //
-// version: v1.0 | v2.0 | v3.0 | dev | golden   (default: golden)
+// version: any of AllEngineVersions() (default: golden)
 // zone-file: path to a zone in this repo's zone text format
 //            (default: a built-in zone with wildcard + delegation)
 //
@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "src/dnsv/verifier.h"
 
@@ -43,7 +44,12 @@ int main(int argc, char** argv) {
       }
     }
     if (!found) {
-      std::fprintf(stderr, "unknown version '%s' (use v1.0|v2.0|v3.0|dev|golden)\n", argv[1]);
+      std::string names;
+      for (EngineVersion candidate : AllEngineVersions()) {
+        names += names.empty() ? "" : "|";
+        names += EngineVersionName(candidate);
+      }
+      std::fprintf(stderr, "unknown version '%s' (use %s)\n", argv[1], names.c_str());
       return 2;
     }
   }

@@ -273,25 +273,9 @@ void PruneDomain::EraseRootedAt(State* state, ValueId root) {
   }
 }
 
-bool PruneDomain::RootTakesStrongUpdates(const Function& fn, ValueId root) const {
-  const ValueTable::Def& def = values_->def(root);
-  if (def.kind == ValueTable::Def::Kind::kCell) return true;
-  // A protected allocation behaves like a stack slot: the escape analysis
-  // proved its address never leaves this function, so no callee and no other
-  // tracked pointer can alias it. (An untracked in-function alias would root
-  // at a non-newobject Fresh value and clobber conservatively instead.)
-  return def.kind == ValueTable::Def::Kind::kFresh && interproc_ != nullptr &&
-         def.imm >= 0 && static_cast<size_t>(def.imm) < fn.num_instrs() &&
-         fn.instr(static_cast<uint32_t>(def.imm)).op == Opcode::kNewObject &&
-         interproc_->IsProtectedAlloc(fn.name(), static_cast<uint32_t>(def.imm));
-}
-
-void PruneDomain::EraseHeapEntries(State* state, const Function& fn, bool protect_local) {
+void PruneDomain::EraseHeapEntries(State* state) {
   for (auto it = state->mem.begin(); it != state->mem.end();) {
-    ValueId root = AddressRoot(it->first);
-    bool keep = values_->def(root).kind == ValueTable::Def::Kind::kCell ||
-                (protect_local && RootTakesStrongUpdates(fn, root));
-    if (!keep) {
+    if (!RootIsCell(it->first)) {
       it = state->mem.erase(it);
     } else {
       ++it;
@@ -343,17 +327,14 @@ void PruneDomain::ExecInstr(State* state, const Function& fn, uint32_t index) {
       ValueId addr = operand(0);
       ValueId value = operand(1);
       ValueId root = AddressRoot(addr);
-      if (RootTakesStrongUpdates(fn, root)) {
+      if (values_->def(root).kind == ValueTable::Def::Kind::kCell) {
         // Strong update: the preflight guarantees nothing else aliases a
-        // stack slot, and the escape analysis guarantees it for protected
-        // allocations. A partial (gep) store first drops everything known
+        // stack slot. A partial (gep) store first drops everything known
         // about the slot, then records the one written component.
         EraseRootedAt(state, root);
       } else {
-        // Any heap location may alias `addr` — including a protected
-        // allocation this unknown pointer secretly points at, so
-        // protect_local must stay off here.
-        EraseHeapEntries(state, fn, /*protect_local=*/false);
+        // Any heap location may alias `addr`.
+        EraseHeapEntries(state);
       }
       state->mem[addr] = value;
       break;
@@ -382,9 +363,8 @@ void PruneDomain::ExecInstr(State* state, const Function& fn, uint32_t index) {
         result = values_->Fresh(index, summary != nullptr && summary->returns_nonnull);
       }
       if (!pure) {
-        // The callee may mutate any heap object it can reach; protected
-        // allocations of this function are by construction out of reach.
-        EraseHeapEntries(state, fn, /*protect_local=*/true);
+        // The callee may mutate any heap object it can reach.
+        EraseHeapEntries(state);
       }
       state->regs[index] = result;
       if (summary != nullptr && summary->analyzed) {

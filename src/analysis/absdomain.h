@@ -187,16 +187,8 @@ class PruneDomain {
   bool RootIsCell(ValueId id) const;
   // Drops mem entries whose address is rooted at `root`.
   void EraseRootedAt(State* state, ValueId root);
-  // Drops every mem entry not rooted at an alloca cell (heap clobber). With
-  // `protect_local`, entries rooted at this function's protected allocations
-  // (InterprocContext::protected_allocs) survive: a callee cannot reach an
-  // allocation whose address never escapes this function. Stores through
-  // unknown pointers must pass protect_local=false — an unknown in-function
-  // pointer may still alias a local allocation the dataflow lost track of.
-  void EraseHeapEntries(State* state, const Function& fn, bool protect_local);
-  // True when `root` is exempt from heap clobbers and takes strong updates:
-  // an alloca cell, or a protected allocation of this function.
-  bool RootTakesStrongUpdates(const Function& fn, ValueId root) const;
+  // Drops every mem entry not rooted at an alloca cell (heap clobber).
+  void EraseHeapEntries(State* state);
   AbsFacts FactsOf(const State& state, ValueId id) const;
 
   ValueTable* values_;

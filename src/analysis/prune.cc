@@ -6,11 +6,9 @@
 #include <vector>
 
 #include "src/analysis/absdomain.h"
-#include "src/analysis/alias.h"
 #include "src/analysis/callgraph.h"
 #include "src/analysis/cfg.h"
 #include "src/analysis/dataflow.h"
-#include "src/analysis/escape.h"
 #include "src/analysis/sccp.h"
 #include "src/ir/validate.h"
 #include "src/support/logging.h"
@@ -66,12 +64,8 @@ int64_t DischargePanicGuards(const Function& const_fn, Function* fn, PruneDomain
 // surviving operand references an instruction of a removed block —
 // rebuilding would dangle. Reachability is recomputed here, on the CFG as it
 // stands after whatever rewrites (SCCP, discharge) preceded the call; no
-// traversal order from before those edge deletions is reused. On success,
-// `instr_map_out` (when non-null) receives old-index -> new-index (UINT32_MAX
-// for removed instructions) so callers can renumber side tables keyed by
-// instruction index.
-std::optional<int64_t> RemoveUnreachableBlocks(Function* fn, int64_t* panic_blocks_removed,
-                                               std::vector<uint32_t>* instr_map_out = nullptr) {
+// traversal order from before those edge deletions is reused.
+std::optional<int64_t> RemoveUnreachableBlocks(Function* fn, int64_t* panic_blocks_removed) {
   std::vector<bool> reachable = ReachableBlocks(*fn);
   int64_t removed = 0;
   for (BlockId b = 0; b < fn->num_blocks(); ++b) {
@@ -144,25 +138,9 @@ std::optional<int64_t> RemoveUnreachableBlocks(Function* fn, int64_t* panic_bloc
     }
     new_blocks.push_back(std::move(block));
   }
-  if (instr_map_out != nullptr) *instr_map_out = instr_map;
   fn->ReplaceBody(std::move(new_blocks), std::move(new_instrs));
   *panic_blocks_removed += panic_removed;
   return removed;
-}
-
-// SCCP renumbers instructions when it orphans blocks; the protected-alloc
-// side table is keyed by instruction index and must follow.
-void RemapProtectedAllocs(InterprocContext* interproc, const std::string& fn_name,
-                          const std::vector<uint32_t>& instr_map) {
-  auto it = interproc->protected_allocs.find(fn_name);
-  if (it == interproc->protected_allocs.end()) return;
-  std::set<uint32_t> remapped;
-  for (uint32_t old_index : it->second) {
-    if (old_index < instr_map.size() && instr_map[old_index] != UINT32_MAX) {
-      remapped.insert(instr_map[old_index]);
-    }
-  }
-  it->second = std::move(remapped);
 }
 
 }  // namespace
@@ -186,8 +164,8 @@ PruneStats PruneFunction(const Module& module, Function* fn) {
   return PruneFunction(module, fn, nullptr, nullptr);
 }
 
-PruneStats PruneFunction(const Module& module, Function* fn, InterprocContext* interproc,
-                         AnalysisStats* analysis) {
+PruneStats PruneFunction(const Module& module, Function* fn,
+                         const InterprocContext* interproc, AnalysisStats* analysis) {
   PruneStats stats;
 
   // Phase 0 (interproc only): fold constant branches and delete the dead
@@ -203,13 +181,9 @@ PruneStats PruneFunction(const Module& module, Function* fn, InterprocContext* i
       analysis->sccp_branches_folded += sccp.branches_folded;
     }
     if (sccp.changed) {
-      std::vector<uint32_t> instr_map;
       std::optional<int64_t> removed =
-          RemoveUnreachableBlocks(fn, &stats.panic_blocks_removed, &instr_map);
-      if (removed.has_value() && *removed > 0) {
-        stats.blocks_removed += *removed;
-        RemapProtectedAllocs(interproc, fn->name(), instr_map);
-      }
+          RemoveUnreachableBlocks(fn, &stats.panic_blocks_removed);
+      if (removed.has_value()) stats.blocks_removed += *removed;
     }
   }
 
@@ -230,15 +204,8 @@ PruneStats PruneFunction(const Module& module, Function* fn, InterprocContext* i
 
   // Phase 2: unreachable-block elimination (independent of phase 1; also
   // collects frontend-emitted dead continuations).
-  std::vector<uint32_t> instr_map;
-  std::optional<int64_t> removed =
-      RemoveUnreachableBlocks(fn, &stats.panic_blocks_removed, &instr_map);
-  if (removed.has_value()) {
-    stats.blocks_removed += *removed;
-    if (*removed > 0 && interproc != nullptr) {
-      RemapProtectedAllocs(interproc, fn->name(), instr_map);
-    }
-  }
+  std::optional<int64_t> removed = RemoveUnreachableBlocks(fn, &stats.panic_blocks_removed);
+  if (removed.has_value()) stats.blocks_removed += *removed;
   ValidateOptions options;
   // The final removal pass succeeding means no unreachable block survives —
   // the invariant the validator then enforces (together with the in-range,
@@ -266,13 +233,12 @@ PruneStats PruneModule(Module* module, const PruneOptions& options, AnalysisStat
     return stats;
   }
 
-  // Whole-module facts first. Summaries and points-to are computed on the
-  // module as lifted; SCCP runs per function inside PruneFunction, after
-  // which the context's instruction-indexed side table is renumbered along
-  // with the function. A precomputed context (artifact-store replay) skips
-  // the whole-module passes entirely; both paths feed the loop the same
-  // facts, so the rewritten module is byte-identical either way — the store
-  // cross-checks that with the persisted post-prune fingerprint.
+  // Whole-module facts first. Summaries are computed on the module as
+  // lifted; SCCP runs per function inside PruneFunction. A precomputed
+  // context (artifact-store replay) skips the whole-module passes entirely;
+  // both paths feed the loop the same facts, so the rewritten module is
+  // byte-identical either way — the store cross-checks that with the
+  // persisted post-prune fingerprint.
   InterprocContext ctx;
   if (options.precomputed != nullptr) {
     ctx = *options.precomputed;
@@ -283,12 +249,9 @@ PruneStats PruneModule(Module* module, const PruneOptions& options, AnalysisStat
       analysis->callgraph_seconds += ElapsedSeconds() - graph_start;
     }
     ctx = ComputeInterprocContext(*module, graph, options.entry_points, analysis);
-    PointsTo points_to = PointsTo::Solve(*module, graph, options.entry_points, analysis);
-    EscapeResult escapes = ComputeEscapes(*module, graph, points_to, analysis);
-    ctx.protected_allocs = escapes.local_allocs;
   }
   if (options.capture != nullptr) {
-    *options.capture = ctx;  // before the loop renumbers allocation indices
+    *options.capture = ctx;
   }
 
   PruneStats stats;

@@ -18,7 +18,7 @@
 //     continuations) are deleted and the function is compactly rebuilt.
 //
 // Interprocedural mode (PruneOptions::interproc) front-loads the whole-module
-// analyses from callgraph.h / summary.h / alias.h / escape.h:
+// analyses from callgraph.h / summary.h:
 //
 //  a. SCCP (sccp.h) folds every constant branch — feature gates first of
 //     all — and the dead sides are deleted BEFORE the fixpoint runs, so the
@@ -26,9 +26,9 @@
 //     The dataflow re-derives reverse postorder and reachability from the
 //     rewritten CFG; nothing from before the edge deletion is reused.
 //  b. The PruneDomain consumes callee summaries (purity, non-nil and
-//     constant returns), entry facts for functions no driver calls directly,
-//     and escape-proven protected allocations — discharging strictly more
-//     guards than the baseline while every verdict stays byte-identical.
+//     constant returns) and entry facts for functions no driver calls
+//     directly — discharging strictly more guards than the baseline while
+//     every verdict stays byte-identical.
 //
 // PruneFunction re-validates the result (with the reachability invariant on)
 // before returning; soundness is additionally guarded by the differential
@@ -66,19 +66,16 @@ struct PruneOptions {
   // reproduces the PR 2 intraprocedural baseline exactly.
   bool interproc = false;
   // Functions external drivers may call directly (interproc mode only):
-  // their parameters are never specialized to in-module call-site facts and
-  // their allocations may escape to the caller. See EngineAnalysisRoots().
+  // their parameters are never specialized to in-module call-site facts.
+  // See EngineAnalysisRoots().
   std::vector<std::string> entry_points;
   // Interproc mode only: replay these whole-module facts instead of running
-  // the call-graph / summary / points-to / escape passes. Must have been
-  // computed (or round-tripped, src/store/summary_io.h) from a module with
-  // the same pre-prune fingerprint; the caller owns that key discipline. The
-  // context is copied internally — prune renumbers allocation indices in its
-  // working copy, never through this pointer.
+  // the call-graph / summary passes. Must have been computed (or
+  // round-tripped, src/store/summary_io.h) from a module with the same
+  // pre-prune fingerprint; the caller owns that key discipline.
   const InterprocContext* precomputed = nullptr;
-  // Interproc mode only: receives a copy of the whole-module facts exactly
-  // as the prune loop first consumed them (pre-renumbering), suitable for
-  // persisting and replaying via `precomputed`.
+  // Interproc mode only: receives a copy of the whole-module facts the prune
+  // loop consumed, suitable for persisting and replaying via `precomputed`.
   InterprocContext* capture = nullptr;
 };
 
@@ -86,17 +83,16 @@ struct PruneOptions {
 // The module is needed for re-validation.
 PruneStats PruneFunction(const Module& module, Function* fn);
 
-// Same, consuming (and — for allocation-site renumbering — updating) a
-// precomputed interprocedural context. `interproc` may be null. Analysis
-// timings/counters accumulate into `analysis` when non-null.
-PruneStats PruneFunction(const Module& module, Function* fn, InterprocContext* interproc,
-                         AnalysisStats* analysis);
+// Same, consuming a precomputed interprocedural context. `interproc` may be
+// null. Analysis timings/counters accumulate into `analysis` when non-null.
+PruneStats PruneFunction(const Module& module, Function* fn,
+                         const InterprocContext* interproc, AnalysisStats* analysis);
 
 // Prunes every function of the module and aggregates the stats (baseline).
 PruneStats PruneModule(Module* module);
 
-// Prunes per `options`; in interproc mode builds the call graph, summaries,
-// points-to, and escape facts for the module first. Analysis pass stats land
+// Prunes per `options`; in interproc mode builds the call graph and
+// summaries for the module first. Analysis pass stats land
 // in `analysis` when non-null (zero in baseline mode).
 PruneStats PruneModule(Module* module, const PruneOptions& options, AnalysisStats* analysis);
 

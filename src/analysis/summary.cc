@@ -1,6 +1,7 @@
 #include "src/analysis/summary.h"
 
 #include <algorithm>
+#include <set>
 
 #include "src/analysis/dataflow.h"
 #include "src/support/logging.h"
@@ -18,23 +19,15 @@ const std::vector<AbsFacts>* InterprocContext::ParamFactsFor(const std::string& 
   return it == param_facts.end() ? nullptr : &it->second;
 }
 
-bool InterprocContext::IsProtectedAlloc(const std::string& fn, uint32_t instr) const {
-  auto it = protected_allocs.find(fn);
-  return it != protected_allocs.end() && it->second.count(instr) > 0;
-}
-
 AnalysisStats& AnalysisStats::operator+=(const AnalysisStats& other) {
   callgraph_seconds += other.callgraph_seconds;
   summary_seconds += other.summary_seconds;
   sccp_seconds += other.sccp_seconds;
-  alias_seconds += other.alias_seconds;
-  escape_seconds += other.escape_seconds;
   functions += other.functions;
   pure_functions += other.pure_functions;
   nonnull_returns += other.nonnull_returns;
   const_returns += other.const_returns;
   param_fact_functions += other.param_fact_functions;
-  protected_allocs += other.protected_allocs;
   sccp_branches_folded += other.sccp_branches_folded;
   return *this;
 }
@@ -44,8 +37,7 @@ std::string AnalysisStats::ToString() const {
                 " functions), summaries ", summary_seconds, "s (", pure_functions,
                 " pure, ", nonnull_returns, " nonnull, ", const_returns, " const, ",
                 param_fact_functions, " param-fact), sccp ", sccp_seconds, "s (",
-                sccp_branches_folded, " branches folded), alias ", alias_seconds,
-                "s, escape ", escape_seconds, "s (", protected_allocs, " local allocs)");
+                sccp_branches_folded, " branches folded)");
 }
 
 namespace {

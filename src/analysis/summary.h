@@ -33,7 +33,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -72,21 +71,17 @@ struct AnalysisStats {
   double callgraph_seconds = 0;
   double summary_seconds = 0;
   double sccp_seconds = 0;
-  double alias_seconds = 0;
-  double escape_seconds = 0;
 
   int64_t functions = 0;           // call-graph nodes
   int64_t pure_functions = 0;      // summaries with pure == true
   int64_t nonnull_returns = 0;     // summaries with returns_nonnull == true
   int64_t const_returns = 0;       // summaries with a constant return value
   int64_t param_fact_functions = 0;  // functions with a non-top entry fact
-  int64_t protected_allocs = 0;    // allocations proven function-local
   int64_t sccp_branches_folded = 0;  // constant brs rewritten to jmps
 
   bool IsZero() const { return *this == AnalysisStats{}; }
   double TotalSeconds() const {
-    return callgraph_seconds + summary_seconds + sccp_seconds + alias_seconds +
-           escape_seconds;
+    return callgraph_seconds + summary_seconds + sccp_seconds;
   }
   AnalysisStats& operator+=(const AnalysisStats& other);
   bool operator==(const AnalysisStats&) const = default;
@@ -101,22 +96,15 @@ struct InterprocContext {
   // Entry facts per parameter; only the nullness channel is ever non-top.
   // Absent entry = all parameters top.
   std::map<std::string, std::vector<AbsFacts>> param_facts;
-  // kNewObject instruction indices proven function-local by the escape
-  // analysis: no pointer the function does not own can alias them, so they
-  // survive heap clobbers and take strong updates like stack slots.
-  std::map<std::string, std::set<uint32_t>> protected_allocs;
 
   const CalleeSummary* SummaryFor(const std::string& name) const;
   const std::vector<AbsFacts>* ParamFactsFor(const std::string& name) const;
-  bool IsProtectedAlloc(const std::string& fn, uint32_t instr) const;
 };
 
 // Builds summaries (bottom-up) and param facts (top-down) for `module`.
 // `entry_points` are the functions outside callers may invoke directly; they
 // and anything unreachable from them keep top entry facts. Pass timings and
-// counters are accumulated into `stats` when non-null. The escape analysis
-// fills protected_allocs separately (escape.h) — this function leaves it
-// empty.
+// counters are accumulated into `stats` when non-null.
 InterprocContext ComputeInterprocContext(const Module& module, const CallGraph& graph,
                                          const std::vector<std::string>& entry_points,
                                          AnalysisStats* stats);

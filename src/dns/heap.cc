@@ -318,8 +318,17 @@ ResponseView DecodeResponse(const Value& response, const ConcreteMemory& memory,
   return ResponseDecoder(types, interner).Decode(response, memory);
 }
 
-Value QnameValue(const DnsName& name, LabelInterner* interner) {
-  return MakeLabelList(interner->InternName(name));
+std::optional<Value> QnameValue(const DnsName& name, LabelInterner* interner) {
+  std::vector<int64_t> codes;
+  codes.reserve(name.labels.size());
+  for (auto it = name.labels.rbegin(); it != name.labels.rend(); ++it) {
+    std::optional<int64_t> code = interner->TryIntern(*it);
+    if (!code.has_value()) {
+      return std::nullopt;
+    }
+    codes.push_back(*code);
+  }
+  return MakeLabelList(codes);
 }
 
 }  // namespace dnsv

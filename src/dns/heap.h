@@ -6,6 +6,7 @@
 #ifndef DNSV_DNS_HEAP_H_
 #define DNSV_DNS_HEAP_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -100,8 +101,9 @@ class ResponseDecoder {
   int f_rname_, f_rtype_, f_rdata_int_, f_rdata_name_;
 };
 
-// Builds the engine-order []int value for a query name.
-Value QnameValue(const DnsName& name, LabelInterner* interner);
+// Builds the engine-order []int value for a query name, or nullopt when a
+// label finds no free code between its neighbours (LabelInterner::TryIntern).
+std::optional<Value> QnameValue(const DnsName& name, LabelInterner* interner);
 
 }  // namespace dnsv
 

@@ -72,20 +72,39 @@ LabelInterner::LabelInterner() {
 }
 
 int64_t LabelInterner::Intern(const std::string& raw_label) {
+  std::optional<int64_t> code = TryIntern(raw_label);
+  DNSV_CHECK_MSG(code.has_value(),
+                 "label code space exhausted between neighbors of: " + ToLowerAscii(raw_label));
+  return *code;
+}
+
+std::optional<int64_t> LabelInterner::TryIntern(const std::string& raw_label) {
   std::string label = ToLowerAscii(raw_label);
-  auto it = by_label_.find(label);
-  if (it != by_label_.end()) {
-    return it->second;
-  }
   // Midpoint of lexicographic neighbors keeps integer order == label order.
   auto next = by_label_.lower_bound(label);
+  if (next != by_label_.end() && next->first == label) {
+    return next->second;
+  }
   int64_t hi = next != by_label_.end() ? next->second : kMaxCode;
   int64_t lo = next != by_label_.begin() ? std::prev(next)->second : kMinCode;
-  DNSV_CHECK_MSG(hi - lo >= 2, "label code space exhausted between neighbors of: " + label);
+  if (hi - lo < 2) {
+    return std::nullopt;
+  }
   int64_t code = lo + (hi - lo) / 2;
-  by_label_.emplace(std::move(label), code);
-  by_code_.emplace(code, by_label_.find(ToLowerAscii(raw_label))->first);
+  auto added = by_label_.emplace_hint(next, std::move(label), code);
+  by_code_.emplace(code, added->first);
+  added_.push_back(code);
   return code;
+}
+
+void LabelInterner::TruncateTo(size_t size) {
+  while (by_label_.size() > size) {
+    DNSV_CHECK(!added_.empty());  // the constructor's "*" is never forgotten
+    auto last = by_code_.find(added_.back());
+    added_.pop_back();
+    by_label_.erase(last->second);
+    by_code_.erase(last);
+  }
 }
 
 std::string LabelInterner::Decode(int64_t code) const {

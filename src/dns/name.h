@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -50,6 +51,11 @@ class LabelInterner {
 
   // Returns the code for `label`, interning it if needed.
   int64_t Intern(const std::string& label);
+  // Like Intern, but returns nullopt instead of aborting when the label's
+  // interned neighbours leave no code between them. Each new label halves
+  // the gap it lands in, so ~60 labels chosen to nest into one gap (one
+  // qname can carry 84 of them) exhaust it.
+  std::optional<int64_t> TryIntern(const std::string& label);
 
   // Reverse lookup; returns "<label#code>" for unknown codes (these appear
   // when a solver model picks an integer strictly between interned labels).
@@ -70,6 +76,14 @@ class LabelInterner {
 
   size_t size() const { return by_label_.size(); }
 
+  // Forgets the most recently interned labels until size() == `size`, so
+  // the next Intern of any of them assigns exactly the code a fresh
+  // interner in the earlier state would. The serving path uses it to make
+  // query labels query-scoped (AuthoritativeServer::RunLookup): a long-lived
+  // shard's code space then never fills up, however many distinct labels
+  // its clients send. No code of a forgotten label may still be in use.
+  void TruncateTo(size_t size);
+
   // Fixed code for the wildcard label "*" (mirrored by LABEL_STAR in the
   // engine's types.mg).
   static constexpr int64_t kWildcardCode = 2;
@@ -80,6 +94,8 @@ class LabelInterner {
 
   std::map<std::string, int64_t> by_label_;  // ordered: neighbor lookup
   std::unordered_map<int64_t, std::string> by_code_;
+  // Codes of every Intern-added label in insertion order, for TruncateTo.
+  std::vector<int64_t> added_;
 };
 
 }  // namespace dnsv

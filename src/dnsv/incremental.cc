@@ -68,14 +68,11 @@ void EncodeAnalysisStats(ArtifactEncoder* enc, const AnalysisStats& stats) {
   enc->Double(stats.callgraph_seconds);
   enc->Double(stats.summary_seconds);
   enc->Double(stats.sccp_seconds);
-  enc->Double(stats.alias_seconds);
-  enc->Double(stats.escape_seconds);
   enc->Int(stats.functions);
   enc->Int(stats.pure_functions);
   enc->Int(stats.nonnull_returns);
   enc->Int(stats.const_returns);
   enc->Int(stats.param_fact_functions);
-  enc->Int(stats.protected_allocs);
   enc->Int(stats.sccp_branches_folded);
 }
 
@@ -83,14 +80,11 @@ void DecodeAnalysisStats(ArtifactDecoder* dec, AnalysisStats* stats) {
   stats->callgraph_seconds = dec->Double();
   stats->summary_seconds = dec->Double();
   stats->sccp_seconds = dec->Double();
-  stats->alias_seconds = dec->Double();
-  stats->escape_seconds = dec->Double();
   stats->functions = dec->Int();
   stats->pure_functions = dec->Int();
   stats->nonnull_returns = dec->Int();
   stats->const_returns = dec->Int();
   stats->param_fact_functions = dec->Int();
-  stats->protected_allocs = dec->Int();
   stats->sccp_branches_folded = dec->Int();
 }
 
@@ -399,7 +393,6 @@ std::string NormalizedReportText(const VerificationReport& report) {
                 " nonnull=", report.analysis.nonnull_returns,
                 " const=", report.analysis.const_returns,
                 " pfacts=", report.analysis.param_fact_functions,
-                " prot=", report.analysis.protected_allocs,
                 " folded=", report.analysis.sccp_branches_folded, "\n");
   return out;
 }

@@ -347,7 +347,13 @@ class Confirmer {
     // interner: exact labels keep their exact codes, and synthesized labels
     // land strictly between the same interned neighbors as the model's code,
     // so the engine's relational label comparisons behave identically.
-    Value wire_qname = QnameValue(parsed.value().qname, &replay_interner_);
+    std::optional<Value> qname_value = QnameValue(parsed.value().qname, &replay_interner_);
+    if (!qname_value.has_value()) {
+      replay.error = "query labels exhaust the label code space";
+      issue->wire = std::move(replay);
+      return;
+    }
+    Value wire_qname = *std::move(qname_value);
     Value wire_qtype = Value::Int(static_cast<int64_t>(parsed.value().qtype));
     ExecOutcome engine_run =
         interp_.Run(engine_.resolve_fn(), {lifted_.image.apex_ptr, lifted_.image.origin_labels,

@@ -85,8 +85,8 @@ class VerifyContext {
 
   // PruneStage input: compiles a private copy of `version` and runs
   // PruneModule over it on first use, then serves the cached result. With
-  // `interproc`, the interprocedural suite (SCCP + summaries + escape facts,
-  // rooted at EngineAnalysisRoots) drives the pruner; the two modes are
+  // `interproc`, the interprocedural suite (SCCP + summaries, rooted at
+  // EngineAnalysisRoots) drives the pruner; the two modes are
   // cached independently.
   //
   // With a `store`, the first computation persists the interprocedural facts

@@ -71,9 +71,9 @@ struct VerifyOptions {
   // on or off; only the solver-check count shrinks.
   bool prune = false;
   // With `prune`: feed the pruner the interprocedural analysis suite
-  // (src/analysis/{callgraph,summary,sccp,alias,escape}.h). SCCP folds the
-  // version feature gates out of the CFG and callee summaries / escape facts
-  // discharge strictly more guards than the intraprocedural baseline —
+  // (src/analysis/{callgraph,summary,sccp}.h). SCCP folds the version
+  // feature gates out of the CFG and callee summaries discharge strictly
+  // more guards than the intraprocedural baseline —
   // verdicts stay byte-identical either way, only more solver checks vanish.
   // false pins the exact PR 2 baseline pruner (the ablation axis).
   bool prune_interproc = true;

@@ -103,7 +103,11 @@ class AuthoritativeServer {
 
  private:
   AuthoritativeServer() = default;
-  QueryResult RunLookup(const Function& fn, std::vector<Value> args);
+  // Runs `fn`(root, origin, qname, qtype) with everything the query adds to
+  // the shard — heap blocks and interned qname labels — reclaimed after the
+  // response is decoded.
+  QueryResult RunLookup(const Function& fn, const Value& root, const DnsName& qname,
+                        RrType qtype);
 
   std::shared_ptr<const CompiledEngine> engine_;
   BackendKind backend_kind_ = BackendKind::kInterp;

@@ -6,10 +6,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "src/analysis/alias.h"
-#include "src/analysis/callgraph.h"
-#include "src/analysis/escape.h"
-#include "src/analysis/summary.h"
 #include "src/support/logging.h"
 #include "src/support/strings.h"
 
@@ -126,7 +122,7 @@ std::string ZeroExpr(const TypeTable& types, Type type) {
 // behavioral difference between the two is a bug the backend differential
 // (src/fuzz) is designed to catch.
 //
-// Eight wire-behavior-preserving optimizations make the generated code much
+// Six wire-behavior-preserving optimizations make the generated code much
 // faster than re-tracing the interpreter's exact memory traffic
 // (docs/BACKEND.md §performance):
 //
@@ -171,33 +167,11 @@ std::string ZeroExpr(const TypeTable& types, Type type) {
 //     and every load of the slot vanish; uses read `pK` directly. kRet
 //     routes such registers through a temporary exactly like a raw
 //     parameter, since `*ret` may alias the caller's value.
-//   * Cross-call load forwarding (interprocedural): a pending forwardable
-//     load stays live across a call whose summary (src/analysis/summary.h)
-//     proves the callee pure — a pure callee writes no caller-reachable
-//     memory, so no promoted slot changes while it runs and the slot read
-//     at the consumer equals the value the interpreter copied at the
-//     original load position. Promoted slot addresses never escape the
-//     frame, so purity is already stronger than required; demanding an
-//     analyzed summary keeps the justification a checked module-wide fact.
-//   * Heap-allocation stack promotion (interprocedural): a kNewObject the
-//     module-wide escape analysis (src/analysis/escape.h) proves
-//     query-local — never stored into another object, never returned,
-//     never passed to any callee — and whose pointer is used only as the
-//     direct address of kLoad/kStore lives in a C++ local exactly like a
-//     promoted alloca. Heap numbering diverges from the interpreter's the
-//     same way alloca promotion makes it diverge, and is unobservable for
-//     the same reason: the pointer never reaches kPtrEq or the wire.
 class FunctionEmitter {
  public:
   FunctionEmitter(const Module& module, const Function& fn, const SymbolTable& symbols,
-                  const InterprocContext& interproc, const EscapeResult& escapes,
                   std::ostream& out)
-      : module_(module),
-        fn_(fn),
-        symbols_(symbols),
-        interproc_(interproc),
-        escapes_(escapes),
-        out_(out) {}
+      : module_(module), fn_(fn), symbols_(symbols), out_(out) {}
 
   void Emit() {
     Analyze();
@@ -213,7 +187,7 @@ class FunctionEmitter {
     // goto that jumps into the scope of a non-vacuously-initialized local.
     for (uint32_t i = 0; i < fn_.num_instrs(); ++i) {
       const Instr& instr = fn_.instr(i);
-      if ((instr.op == Opcode::kAlloca || instr.op == Opcode::kNewObject) && promoted_[i]) {
+      if (promoted_[i]) {
         if (slot_param_alias_[i] < 0) {
           out_ << "  Value a" << i << ";\n";  // the promoted cell itself
         }
@@ -257,13 +231,7 @@ class FunctionEmitter {
       }
     }
     for (uint32_t i = 0; i < fn_.num_instrs(); ++i) {
-      const Instr& site = fn_.instr(i);
-      // kAlloca qualifies on the local use check alone. A kNewObject is a
-      // real heap object, so it additionally needs the module-wide escape
-      // analysis to prove the object dies with the frame.
-      bool candidate = site.op == Opcode::kAlloca ||
-                       (site.op == Opcode::kNewObject && escapes_.IsLocal(fn_.name(), i));
-      if (!candidate) {
+      if (fn_.instr(i).op != Opcode::kAlloca) {
         continue;
       }
       bool address_escapes = false;
@@ -282,9 +250,6 @@ class FunctionEmitter {
         }
       }
       promoted_[i] = !address_escapes;
-      if (promoted_[i] && site.op == Opcode::kNewObject) {
-        ++stack_promoted_;
-      }
     }
     // Parameter copy elision (see the class comment). A promoted slot
     // qualifies when its ONLY store is `store slot, pK` in the entry block
@@ -407,28 +372,9 @@ class FunctionEmitter {
     return fn_.instr(load_index).operands[0].reg;
   }
 
-  // A call the forwarding pass may float pending loads across: the callee
-  // summary proves it pure, i.e. it writes no caller-reachable memory, so
-  // no promoted slot changes while it runs. (Slot addresses never leave the
-  // frame, so purity is stronger than strictly necessary — but it is a
-  // checked interprocedural fact, not an argument the emitter re-derives.)
-  bool IsForwardTransparentCall(uint32_t index) const {
-    const Instr& instr = fn_.instr(index);
-    if (instr.op != Opcode::kCall) {
-      return false;
-    }
-    if (IsIntrinsicCallee(instr.text)) {
-      return true;  // listEq compares value lists; it touches no heap cell
-    }
-    const CalleeSummary* summary = interproc_.SummaryFor(instr.text);
-    return summary != nullptr && summary->analyzed && summary->pure;
-  }
-
   // Emits one basic block. Forwardable loads are not emitted eagerly: each
   // stays pending until its single consumer arrives (the slot is then read
-  // in place of the copy), a slot-mutating instruction forces a flush, or —
-  // the interprocedural case — it is carried across a summarized pure call
-  // to a consumer on the far side.
+  // in place of the copy) or any other instruction forces a flush.
   void EmitBlock(const std::vector<uint32_t>& instrs) {
     block_instrs_.clear();
     block_instrs_.insert(instrs.begin(), instrs.end());
@@ -442,35 +388,29 @@ class FunctionEmitter {
         continue;
       }
       subst_.clear();
-      std::vector<uint32_t> carried;
-      const bool transparent = IsForwardTransparentCall(index);
       for (uint32_t load : pending) {
         if (single_user_[load] == index) {
           subst_[load] = StrCat("a", SlotOf(load));
-        } else if (transparent) {
-          carried.push_back(load);
-          ++cross_call_forwards_;
         } else {
           EmitInstr(load);  // consumed later or in another block
         }
       }
+      pending.clear();
       // A fused mutation writes its slot in place, which is why every
-      // pending load it does not consume was flushed above (append/set is
-      // never transparent): no pending read can observe the mutated cell.
+      // pending load it does not consume was flushed above: no pending read
+      // can observe the mutated cell.
       if (TryEmitFusedMutation(instrs, i)) {
         subst_.clear();
-        pending = std::move(carried);
         i += 2;  // the mutation consumed the op and its store
         continue;
       }
       EmitInstr(index);
       subst_.clear();
-      pending = std::move(carried);
       ++i;
     }
-    // Unreachable — blocks end in a terminator, which is never a load and
-    // never transparent, so the last iteration drained `pending` — but a
-    // dropped load would silently change behavior, so flush defensively.
+    // Unreachable — blocks end in a terminator, which is never a load, so
+    // the last iteration drained `pending` — but a dropped load would
+    // silently change behavior, so flush defensively.
     for (uint32_t load : pending) {
       EmitInstr(load);
     }
@@ -865,20 +805,10 @@ class FunctionEmitter {
            promoted_[op.reg];
   }
 
- public:
-  // Interprocedural-optimization outcomes, for the generated file's trailer.
-  int stack_promoted() const { return stack_promoted_; }
-  int cross_call_forwards() const { return cross_call_forwards_; }
-
- private:
   const Module& module_;
   const Function& fn_;
   const SymbolTable& symbols_;
-  const InterprocContext& interproc_;
-  const EscapeResult& escapes_;
   std::ostream& out_;
-  int stack_promoted_ = 0;      // kNewObject sites promoted to C++ locals
-  int cross_call_forwards_ = 0; // pending loads carried across a pure call
   std::vector<int> use_count_;        // operand references per result register
   std::vector<uint32_t> single_user_; // meaningful only when use_count_ == 1
   std::vector<bool> promoted_;        // kAlloca indices promoted to locals
@@ -912,21 +842,6 @@ void EmitGenModule(const Module& module, EngineVersion version,
                    const std::string& version_name, uint64_t fingerprint,
                    std::ostream& out) {
   SymbolTable symbols(module);
-  // Interprocedural facts feeding the emitter. Every generated function is
-  // externally callable through the GenFnEntry dispatch table, so — unlike
-  // the verifier, which roots the analysis at EngineAnalysisRoots — every
-  // function is an entry point here and no parameter fact may be assumed.
-  // Purity summaries and escape classifications are entry-independent, and
-  // those are the only facts the emitter consumes.
-  std::vector<std::string> all_roots;
-  for (const auto& fn : module.functions()) {
-    all_roots.push_back(fn->name());
-  }
-  CallGraph graph = CallGraph::Build(module);
-  AnalysisStats analysis;
-  InterprocContext interproc = ComputeInterprocContext(module, graph, all_roots, &analysis);
-  PointsTo points_to = PointsTo::Solve(module, graph, all_roots, &analysis);
-  EscapeResult escapes = ComputeEscapes(module, graph, points_to, &analysis);
   char fp_buf[32];
   std::snprintf(fp_buf, sizeof(fp_buf), "0x%016llx",
                 static_cast<unsigned long long>(fingerprint));
@@ -951,18 +866,11 @@ void EmitGenModule(const Module& module, EngineVersion version,
     out << FunctionEmitter::Signature(symbols.Symbol(fn->name()), *fn) << ";\n";
   }
   out << "\n";
-  int promoted_total = 0;
-  int carried_total = 0;
   for (const auto& fn : module.functions()) {
-    FunctionEmitter emitter(module, *fn, symbols, interproc, escapes, out);
-    emitter.Emit();
-    promoted_total += emitter.stack_promoted();
-    carried_total += emitter.cross_call_forwards();
+    FunctionEmitter(module, *fn, symbols, out).Emit();
     out << "\n";
   }
-  out << "// interproc codegen: " << promoted_total
-      << " heap allocation(s) stack-promoted, " << carried_total
-      << " load(s) carried across summarized pure calls.\n\n";
+  out << "\n";
 
   // Uniform vector-unpacking wrappers, one per function, for the GenFnEntry
   // dispatch table.

@@ -231,6 +231,37 @@ bool PacketCache::Lookup(const CacheKey& key, uint64_t generation, uint16_t clie
   return true;
 }
 
+PacketCache::EntryMap::iterator PacketCache::PickVictim(EntryMap* entries,
+                                                       const std::string& incoming,
+                                                       uint64_t generation,
+                                                       Clock::time_point now) {
+  // A bounded probe of kVictimProbes entries keeps a full shard O(1) per
+  // insert. It prefers an entry that is already dead and otherwise takes the
+  // first one probed. The probe starts at the bucket the incoming key hashes
+  // to, which makes the victim a random resident (dnsdist's policy). Starting
+  // at begin() would not: in libstdc++ that is usually the newest node, so a
+  // full cache would keep evicting what it just stored.
+  constexpr int kVictimProbes = 8;
+  const size_t buckets = entries->bucket_count();
+  const size_t start = entries->bucket(incoming);
+  const std::string* victim = nullptr;
+  int probes = 0;
+  for (size_t n = 0; n < buckets && probes < kVictimProbes; ++n) {
+    const size_t b = (start + n) % buckets;
+    for (auto it = entries->cbegin(b); it != entries->cend(b) && probes < kVictimProbes;
+         ++it, ++probes) {
+      if (it->second.generation != generation || now >= it->second.expiry) {
+        return entries->find(it->first);
+      }
+      if (victim == nullptr) {
+        victim = &it->first;
+      }
+    }
+  }
+  DNSV_CHECK(victim != nullptr);  // only called on a full, hence non-empty, shard
+  return entries->find(*victim);
+}
+
 void PacketCache::Insert(const CacheKey& key, uint64_t generation, uint32_t ttl_seconds,
                          const std::vector<uint8_t>& wire, ServerStats* stats) {
   DNSV_CHECK(wire.size() >= kHeaderSize + key.qname_wire.size());
@@ -248,19 +279,7 @@ void PacketCache::Insert(const CacheKey& key, uint64_t generation, uint32_t ttl_
       it->second = std::move(entry);  // refresh (e.g. after a reload)
     } else {
       if (shard.entries.size() >= per_shard_capacity_) {
-        // Prefer evicting something already dead; probe a bounded prefix of
-        // the shard so a full shard stays O(1) per insert, then fall back to
-        // an arbitrary victim (hash order ≈ random, like dnsdist's policy).
-        auto victim = shard.entries.begin();
-        int probes = 0;
-        for (auto probe = shard.entries.begin();
-             probe != shard.entries.end() && probes < 8; ++probe, ++probes) {
-          if (probe->second.generation != generation || now >= probe->second.expiry) {
-            victim = probe;
-            break;
-          }
-        }
-        shard.entries.erase(victim);
+        shard.entries.erase(PickVictim(&shard.entries, key.key, generation, now));
         ++evicted;
       }
       shard.entries.emplace(key.key, std::move(entry));

@@ -88,7 +88,7 @@ class PacketCache {
   // Stores `wire` (the full encoded response) for `key` under `generation`,
   // expiring `ttl_seconds` from now. The caller has already established
   // cacheability (rcode, TC, TTL > 0). A full shard evicts an expired or
-  // stale entry when one is found in a bounded probe, else an arbitrary one.
+  // stale entry when one is found in a bounded probe, else a random one.
   void Insert(const CacheKey& key, uint64_t generation, uint32_t ttl_seconds,
               const std::vector<uint8_t>& wire, ServerStats* stats);
 
@@ -105,12 +105,17 @@ class PacketCache {
     uint64_t generation = 0;
     Clock::time_point expiry{};
   };
+  using EntryMap = std::unordered_map<std::string, Entry>;
   struct alignas(64) Shard {
     mutable std::mutex mu;
-    std::unordered_map<std::string, Entry> entries;
+    EntryMap entries;
   };
 
   Shard& ShardFor(const std::string& key);
+  // The entry a full shard gives up for `incoming`: a dead entry when the
+  // bounded probe finds one, else a random live one.
+  static EntryMap::iterator PickVictim(EntryMap* entries, const std::string& incoming,
+                                       uint64_t generation, Clock::time_point now);
 
   size_t max_entries_;
   size_t per_shard_capacity_;

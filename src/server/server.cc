@@ -408,13 +408,42 @@ void DnsServer::TcpLoop() {
     }
     return true;
   };
+  // Takes every connection waiting in the listen backlog, up to the cap.
+  auto accept_backlog = [&] {
+    while (true) {
+      int conn_fd = ::accept4(tcp->listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
+      if (conn_fd < 0) {
+        break;
+      }
+      if (conns.size() >= static_cast<size_t>(config_.max_tcp_connections)) {
+        tcp->stats.tcp_rejected.fetch_add(1, std::memory_order_relaxed);
+        ::close(conn_fd);
+        continue;
+      }
+      int on = 1;
+      ::setsockopt(conn_fd, IPPROTO_TCP, TCP_NODELAY, &on, sizeof(on));
+      epoll_event ev{};
+      ev.events = EPOLLIN;
+      ev.data.fd = conn_fd;
+      if (::epoll_ctl(tcp->epoll_fd, EPOLL_CTL_ADD, conn_fd, &ev) != 0) {
+        ::close(conn_fd);
+        continue;
+      }
+      conns[conn_fd].last_active = Clock::now();
+      tcp->stats.tcp_connections.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
 
   while (true) {
     if (stopping_.load(std::memory_order_relaxed) && !draining) {
       // Graceful shutdown: stop accepting, keep serving what is connected.
+      // That includes connections still in the listen backlog: their
+      // clients' connect() has returned and their queries may be queued, so
+      // dropping them with the listener would reset in-flight queries.
       draining = true;
       drain_deadline = Clock::now() +
                        std::chrono::milliseconds(config_.drain_timeout_ms);
+      accept_backlog();
       ::epoll_ctl(tcp->epoll_fd, EPOLL_CTL_DEL, tcp->listen_fd, nullptr);
     }
     if (draining && (conns.empty() || Clock::now() >= drain_deadline)) {
@@ -430,28 +459,7 @@ void DnsServer::TcpLoop() {
         continue;  // the flag is re-checked at the top of the loop
       }
       if (fd == tcp->listen_fd) {
-        while (true) {
-          int conn_fd = ::accept4(tcp->listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
-          if (conn_fd < 0) {
-            break;
-          }
-          if (draining || conns.size() >= static_cast<size_t>(config_.max_tcp_connections)) {
-            tcp->stats.tcp_rejected.fetch_add(1, std::memory_order_relaxed);
-            ::close(conn_fd);
-            continue;
-          }
-          int on = 1;
-          ::setsockopt(conn_fd, IPPROTO_TCP, TCP_NODELAY, &on, sizeof(on));
-          epoll_event ev{};
-          ev.events = EPOLLIN;
-          ev.data.fd = conn_fd;
-          if (::epoll_ctl(tcp->epoll_fd, EPOLL_CTL_ADD, conn_fd, &ev) != 0) {
-            ::close(conn_fd);
-            continue;
-          }
-          conns[conn_fd].last_active = Clock::now();
-          tcp->stats.tcp_connections.fetch_add(1, std::memory_order_relaxed);
-        }
+        accept_backlog();  // never reached while draining: the listener is off epoll
         continue;
       }
       auto it = conns.find(fd);

@@ -63,21 +63,12 @@ std::string SerializeInterprocContext(const InterprocContext& ctx,
       EncodeFacts(&enc, fact);
     }
   }
-  enc.Int(static_cast<int64_t>(ctx.protected_allocs.size()));
-  for (const auto& [name, allocs] : ctx.protected_allocs) {
-    enc.Str(name);
-    enc.Int(static_cast<int64_t>(allocs.size()));
-    for (uint32_t instr : allocs) {
-      enc.Int(static_cast<int64_t>(instr));
-    }
-  }
   enc.Tag("analysis-counters");
   enc.Int(stats.functions);
   enc.Int(stats.pure_functions);
   enc.Int(stats.nonnull_returns);
   enc.Int(stats.const_returns);
   enc.Int(stats.param_fact_functions);
-  enc.Int(stats.protected_allocs);
   return enc.Take();
 }
 
@@ -114,26 +105,12 @@ bool ParseInterprocContext(const std::string& payload, InterprocContext* ctx,
     }
     if (dec.ok()) out.param_facts.emplace(std::move(name), std::move(facts));
   }
-  int64_t num_protected = dec.Int();
-  for (int64_t i = 0; dec.ok() && i < num_protected; ++i) {
-    std::string name = dec.Str();
-    int64_t count = dec.Int();
-    if (!dec.ok() || count < 0) return false;
-    std::set<uint32_t> allocs;
-    for (int64_t j = 0; dec.ok() && j < count; ++j) {
-      int64_t instr = dec.Int();
-      if (instr < 0 || instr > UINT32_MAX) return false;
-      allocs.insert(static_cast<uint32_t>(instr));
-    }
-    if (dec.ok()) out.protected_allocs.emplace(std::move(name), std::move(allocs));
-  }
   dec.Tag("analysis-counters");
   counters.functions = dec.Int();
   counters.pure_functions = dec.Int();
   counters.nonnull_returns = dec.Int();
   counters.const_returns = dec.Int();
   counters.param_fact_functions = dec.Int();
-  counters.protected_allocs = dec.Int();
   if (!dec.ok() || !dec.AtEnd()) return false;
   *ctx = std::move(out);
   *stats = counters;

@@ -1,16 +1,13 @@
 // Unit tests for the interprocedural analysis layer on hand-written AbsIR:
 // the call graph (SCCs, reachability, unknown callees), the bottom-up callee
-// summaries, SCCP branch folding (literal and summary-driven), the Andersen
-// points-to solution, and the escape classification its consumers act on.
+// summaries, and SCCP branch folding (literal and summary-driven).
 //
 // The engine-scale soundness gates live next door in
 // prune_differential_test.cc; here every property is checked against a module
 // small enough to verify the expected answer by eye.
 #include <gtest/gtest.h>
 
-#include "src/analysis/alias.h"
 #include "src/analysis/callgraph.h"
-#include "src/analysis/escape.h"
 #include "src/analysis/sccp.h"
 #include "src/analysis/summary.h"
 #include "src/ir/builder.h"
@@ -97,73 +94,18 @@ class InterprocTest : public ::testing::Test {
     return fn;
   }
 
-  // makeNode() *Node { return new(Node) } — non-nil return; the allocation
-  // escapes through the return channel.
+  // makeNode() *Node { return new(Node) } — non-nil return.
   Function* BuildMakeNode() {
     Function* fn = module_.AddFunction("makeNode", {}, node_ptr_ty_);
     IrBuilder b(&module_, fn);
     b.SetInsertPoint(b.CreateBlock("entry"));
-    returned_new_ = b.NewObject(node_ty_);
-    b.Ret(returned_new_);
-    return fn;
-  }
-
-  // localSum() int — the frontend shape for `n := new(Node)` used purely
-  // within the frame: the object sits in an own stack slot, its field is
-  // written and read back, and nothing else sees it. Provably local.
-  Function* BuildLocalSum() {
-    Function* fn = module_.AddFunction("localSum", {}, types_.IntType());
-    IrBuilder b(&module_, fn);
-    b.SetInsertPoint(b.CreateBlock("entry"));
-    Operand slot = b.Alloca(node_ptr_ty_);
-    local_new_ = b.NewObject(node_ty_);
-    b.Store(slot, local_new_);
-    Operand p = b.Load(slot);
-    Operand val_addr = b.Gep(p, {b.Int(0)}, types_.IntType());
-    b.Store(val_addr, b.Int(5));
-    b.Ret(b.Load(val_addr));
-    slot_alloca_ = slot;
-    return fn;
-  }
-
-  // publish() int { a := new(Node); b := new(Node); b.next = a } — `a` is
-  // stored into another object's contents and escapes; `b` itself stays
-  // confined to the frame.
-  Function* BuildPublish() {
-    Function* fn = module_.AddFunction("publish", {}, types_.IntType());
-    IrBuilder b(&module_, fn);
-    b.SetInsertPoint(b.CreateBlock("entry"));
-    published_new_ = b.NewObject(node_ty_);
-    container_new_ = b.NewObject(node_ty_);
-    Operand next_addr = b.Gep(container_new_, {b.Int(1)}, node_ptr_ty_);
-    b.Store(next_addr, published_new_);
-    b.Ret(b.Int(0));
-    return fn;
-  }
-
-  // passer() int { taker(new(Node)) } — handing the pointer to any callee
-  // (analyzed or not) forfeits locality.
-  Function* BuildTakerAndPasser() {
-    Function* taker =
-        module_.AddFunction("taker", {{"p", node_ptr_ty_}}, types_.IntType());
-    {
-      IrBuilder b(&module_, taker);
-      b.SetInsertPoint(b.CreateBlock("entry"));
-      b.Ret(b.Int(0));
-    }
-    Function* fn = module_.AddFunction("passer", {}, types_.IntType());
-    IrBuilder b(&module_, fn);
-    b.SetInsertPoint(b.CreateBlock("entry"));
-    passed_new_ = b.NewObject(node_ty_);
-    b.Ret(b.Call("taker", {passed_new_}, types_.IntType()));
+    b.Ret(b.NewObject(node_ty_));
     return fn;
   }
 
   TypeTable types_;
   Module module_;
   Type node_ty_, node_ptr_ty_;
-  Operand returned_new_, local_new_, slot_alloca_, published_new_, container_new_,
-      passed_new_;
 };
 
 // --- call graph ---
@@ -355,90 +297,6 @@ TEST_F(InterprocTest, SccpFoldsGuardThroughCalleeSummaryOnly) {
   EXPECT_EQ(summarized.branches_folded, 1);
   std::string after = PrintFunction(module_, *with_ctx);
   EXPECT_NE(after.find("jmp"), std::string::npos) << after;
-}
-
-// --- points-to ---
-
-TEST_F(InterprocTest, PointsToTracksStoresIntoObjectContents) {
-  BuildPublish();
-  CallGraph graph = CallGraph::Build(module_);
-  AnalysisStats stats;
-  PointsTo pts = PointsTo::Solve(module_, graph, {}, &stats);
-
-  int published = pts.ObjectOf("publish", published_new_.reg);
-  int container = pts.ObjectOf("publish", container_new_.reg);
-  ASSERT_GE(published, 0);
-  ASSERT_GE(container, 0);
-  EXPECT_NE(published, container);
-  EXPECT_FALSE(pts.ObjectIsStackSlot(published));
-
-  // b.next = a: `a` lands in b's (field-insensitive) contents.
-  EXPECT_TRUE(pts.Contents(container).count(published) > 0);
-  EXPECT_FALSE(pts.Contents(published).count(container) > 0);
-  // The register holding the kNewObject result points at its own site.
-  EXPECT_TRUE(pts.RegPointsTo("publish", published_new_.reg).count(published) > 0);
-}
-
-TEST_F(InterprocTest, PointsToEntryParamsAndAllocaSites) {
-  BuildLocalSum();
-  Function* entry_fn =
-      module_.AddFunction("driverEntry", {{"p", node_ptr_ty_}}, types_.IntType());
-  {
-    IrBuilder b(&module_, entry_fn);
-    b.SetInsertPoint(b.CreateBlock("entry"));
-    b.Ret(b.Int(0));
-  }
-  CallGraph graph = CallGraph::Build(module_);
-  PointsTo pts = PointsTo::Solve(module_, graph, {"driverEntry"}, nullptr);
-
-  // Entry-point parameters start at the unknown object (driver-owned
-  // memory); non-entry params do not.
-  EXPECT_TRUE(
-      pts.ParamPointsTo("driverEntry", 0).count(PointsTo::kUnknownObject) > 0);
-
-  int slot = pts.ObjectOf("localSum", slot_alloca_.reg);
-  ASSERT_GE(slot, 0);
-  EXPECT_TRUE(pts.ObjectIsStackSlot(slot));
-  // Non-site instructions are not objects (the store following the two
-  // allocation sites).
-  EXPECT_EQ(pts.ObjectOf("localSum", local_new_.reg + 1), -1);
-}
-
-TEST_F(InterprocTest, MayAliasRespectsUnknownAndDisjointness) {
-  std::set<int> unknown = {PointsTo::kUnknownObject};
-  std::set<int> one = {1};
-  std::set<int> two = {2};
-  std::set<int> none;
-  EXPECT_TRUE(PointsTo::MayAlias(unknown, one));
-  EXPECT_TRUE(PointsTo::MayAlias(one, one));
-  EXPECT_FALSE(PointsTo::MayAlias(one, two));
-  EXPECT_FALSE(PointsTo::MayAlias(none, one));
-  EXPECT_FALSE(PointsTo::MayAlias(none, unknown));
-}
-
-// --- escape ---
-
-TEST_F(InterprocTest, EscapeClassifiesAllFourChannels) {
-  BuildLocalSum();        // confined to the frame -> local
-  BuildMakeNode();        // returned -> escapes
-  BuildPublish();         // stored into another object -> escapes
-  BuildTakerAndPasser();  // passed to a callee -> escapes
-
-  CallGraph graph = CallGraph::Build(module_);
-  PointsTo pts = PointsTo::Solve(module_, graph, {}, nullptr);
-  AnalysisStats stats;
-  EscapeResult escapes = ComputeEscapes(module_, graph, pts, &stats);
-
-  EXPECT_TRUE(escapes.IsLocal("localSum", local_new_.reg));
-  EXPECT_FALSE(escapes.IsLocal("makeNode", returned_new_.reg));
-  EXPECT_FALSE(escapes.IsLocal("publish", published_new_.reg));
-  EXPECT_FALSE(escapes.IsLocal("passer", passed_new_.reg));
-  // The container in publish() is itself never stored / returned / passed.
-  EXPECT_TRUE(escapes.IsLocal("publish", container_new_.reg));
-
-  EXPECT_EQ(escapes.TotalLocal(), 2);
-  EXPECT_EQ(stats.protected_allocs, 2);
-  EXPECT_GE(stats.escape_seconds, 0.0);
 }
 
 }  // namespace

@@ -40,13 +40,13 @@ class ModuleHarness {
 
   QueryResult Resolve(const DnsName& qname, RrType qtype) {
     return Run(engine_->resolve_fn(),
-               {image_.apex_ptr, image_.origin_labels, QnameValue(qname, &interner_),
+               {image_.apex_ptr, image_.origin_labels, QnameValue(qname, &interner_).value(),
                 Value::Int(static_cast<int64_t>(qtype))});
   }
 
   QueryResult Spec(const DnsName& qname, RrType qtype) {
     return Run(engine_->rrlookup_fn(),
-               {image_.zone_rrs, image_.origin_labels, QnameValue(qname, &interner_),
+               {image_.zone_rrs, image_.origin_labels, QnameValue(qname, &interner_).value(),
                 Value::Int(static_cast<int64_t>(qtype))});
   }
 
@@ -74,7 +74,7 @@ class ModuleHarness {
 };
 
 // The interprocedural configuration the verifier's pipeline uses: SCCP +
-// summaries + escape facts, rooted at what the drivers actually invoke.
+// summaries, rooted at what the drivers actually invoke.
 PruneOptions InterprocOptions() {
   PruneOptions options;
   options.interproc = true;
@@ -134,7 +134,7 @@ TEST_P(PrunedInterpreterDifferential, ProbeMatrixIdentical) {
 INSTANTIATE_TEST_SUITE_P(Versions, PrunedInterpreterDifferential,
                          ::testing::ValuesIn(AllEngineVersions()), VersionTestName);
 
-// The interprocedurally pruned module (SCCP + summaries + escape facts) must
+// The interprocedurally pruned module (SCCP + summaries) must
 // also be observably identical to the unpruned one under the interpreter.
 class InterprocPrunedInterpreterDifferential
     : public ::testing::TestWithParam<EngineVersion> {};

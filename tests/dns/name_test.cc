@@ -63,6 +63,24 @@ TEST(LabelInterner, OrderPreservingUnderLateInsertion) {
   EXPECT_LT(b, c);
 }
 
+TEST(LabelInterner, TruncateToForgetsLaterLabelsAndReassignsTheirCodes) {
+  LabelInterner interner;
+  int64_t a = interner.Intern("aaa");
+  int64_t c = interner.Intern("ccc");
+  const size_t mark = interner.size();
+  int64_t b = interner.Intern("bbb");
+  interner.Intern("bba");
+  interner.TruncateTo(mark);
+  EXPECT_EQ(interner.size(), mark);
+  EXPECT_EQ(interner.Decode(b), StrCat("<label#", b, ">"));
+  EXPECT_EQ(interner.Intern("aaa"), a);
+  EXPECT_EQ(interner.Intern("ccc"), c);
+  EXPECT_EQ(interner.Intern("bbb"), b);  // the same code a fresh insert gets
+  interner.TruncateTo(1);                // down to the fixed "*"
+  EXPECT_EQ(interner.Intern("*"), LabelInterner::kWildcardCode);
+  EXPECT_EQ(interner.size(), 1u);
+}
+
 TEST(LabelInterner, StableAndCaseInsensitive) {
   LabelInterner interner;
   EXPECT_EQ(interner.Intern("WWW"), interner.Intern("www"));

@@ -217,6 +217,38 @@ TEST(PacketCacheTest, CapacityIsBoundedByEviction) {
   EXPECT_GE(stats.cache_evictions.load(), 100u - cache.max_entries());
 }
 
+TEST(PacketCacheTest, FullShardKeepsMostRecentInserts) {
+  // One shard: every key competes for the same capacity.
+  PacketCache cache(60);
+  ASSERT_EQ(cache.num_shards(), 1u);
+  ServerStats stats;
+  std::vector<uint8_t> wire(64, 0xAA);
+  auto key_for = [](int i) {
+    CacheKey key;
+    EXPECT_TRUE(BuildCacheKey(
+        MakeQuery("host" + std::to_string(i) + ".example.com", RrType::kA, 1), kMaxUdpPayload,
+        &key));
+    return key;
+  };
+  const int capacity = static_cast<int>(cache.max_entries());
+  const int extra = 4 * capacity;
+  for (int i = 0; i < capacity + extra; ++i) {
+    cache.Insert(key_for(i), 1, 300, wire, &stats);
+  }
+  ASSERT_EQ(cache.size(), cache.max_entries());
+
+  // Random eviction keeps a key inserted j inserts ago with probability
+  // (1 - 1/capacity)^j, so ~88% of the last capacity/4 survive. A policy
+  // that keeps evicting its newest entries loses most of them.
+  const int recent = extra / 16;
+  int cached = 0;
+  std::vector<uint8_t> out;
+  for (int i = capacity + extra - recent; i < capacity + extra; ++i) {
+    if (cache.Lookup(key_for(i), 1, 1, &out, nullptr)) ++cached;
+  }
+  EXPECT_GE(cached, recent * 3 / 4) << cached << " of the last " << recent << " inserts cached";
+}
+
 // ---- ServePacket-level cacheability -------------------------------------
 
 TEST(CachedServeTest, SecondServeIsAHitAndByteIdentical) {

@@ -349,6 +349,68 @@ TEST(ServePacketTest, EdnsPayloadLiftsTheUdpClamp) {
   EXPECT_FALSE(tcp.truncated);
 }
 
+// Every new label takes the midpoint between its interned neighbours, so
+// m, ma, maa, ... halve one gap of the shard's label code space per query.
+// Query labels are query-scoped: a long-lived shard must answer each such
+// query exactly as a fresh shard does, and keep no label of it afterwards.
+TEST(ServePacketTest, HostileLabelSequencesLeaveTheInternerUnchanged) {
+  for (BackendKind backend : {BackendKind::kInterp, BackendKind::kCompiled}) {
+    SCOPED_TRACE(BackendKindName(backend));
+    Result<std::unique_ptr<AuthoritativeServer>> shard =
+        AuthoritativeServer::Create(EngineVersion::kV5, KitchenSinkZone(), backend);
+    ASSERT_TRUE(shard.ok()) << shard.error();
+    const size_t labels_before = shard.value()->interner().size();
+    for (int i = 0; i < 200; ++i) {
+      // Labels stay within 63 bytes: four runs of m.., n.., o.., p...
+      std::string label(1, static_cast<char>('m' + i / 62));
+      label.append(static_cast<size_t>(i % 62), 'a');
+      std::vector<uint8_t> packet = QueryPacket(label + ".example.com", RrType::kA);
+      ServeOutcome served = ServePacket(shard.value().get(), packet.data(), packet.size(),
+                                        kMaxUdpPayload, nullptr);
+      Result<std::unique_ptr<AuthoritativeServer>> fresh =
+          AuthoritativeServer::Create(EngineVersion::kV5, KitchenSinkZone(), backend);
+      ASSERT_TRUE(fresh.ok()) << fresh.error();
+      ServeOutcome reference = ServePacket(fresh.value().get(), packet.data(), packet.size(),
+                                           kMaxUdpPayload, nullptr);
+      ASSERT_EQ(served.wire, reference.wire) << "query " << i << ": " << label;
+    }
+    EXPECT_EQ(shard.value()->interner().size(), labels_before);
+  }
+}
+
+// One qname of 84 two-byte labels, each sorting just below the one interned
+// before it, nests 84 midpoints into a single gap: more halvings than the
+// code space has bits. The query gets SERVFAIL and the shard lives on.
+TEST(ServePacketTest, QnameThatExhaustsALabelGapGetsServfail) {
+  Result<std::unique_ptr<AuthoritativeServer>> shard =
+      AuthoritativeServer::Create(EngineVersion::kV5, KitchenSinkZone(), BackendKind::kCompiled);
+  ASSERT_TRUE(shard.ok()) << shard.error();
+  const size_t labels_before = shard.value()->interner().size();
+  WireQuery query;
+  query.id = 0x5151;
+  query.qtype = RrType::kA;
+  for (int k = 0; k < 84; ++k) {
+    // Labels are interned root-first, so the wire order ascends.
+    query.qname.labels.push_back(std::string{'a', static_cast<char>(0x80 + k)});
+  }
+  std::vector<uint8_t> packet = EncodeWireQuery(query);
+  ServerStats stats;
+  ServeOutcome served =
+      ServePacket(shard.value().get(), packet.data(), packet.size(), kMaxUdpPayload, &stats);
+  ASSERT_FALSE(served.parse_error);
+  WireQuery echoed;
+  Result<ResponseView> view = ParseWireResponse(served.wire, &echoed);
+  ASSERT_TRUE(view.ok()) << view.error();
+  EXPECT_EQ(view.value().rcode, Rcode::kServFail);
+  EXPECT_EQ(shard.value()->interner().size(), labels_before);
+
+  std::vector<uint8_t> next = QueryPacket("www.example.com", RrType::kA);
+  ServeOutcome after =
+      ServePacket(shard.value().get(), next.data(), next.size(), kMaxUdpPayload, &stats);
+  ASSERT_TRUE(ParseWireResponse(after.wire, &echoed).ok());
+  EXPECT_EQ(ParseWireResponse(after.wire, &echoed).value().rcode, Rcode::kNoError);
+}
+
 TEST(ServePacketTest, UdpClampTruncatesAndTcpLimitServesInFull) {
   Result<std::unique_ptr<AuthoritativeServer>> shard =
       AuthoritativeServer::Create(EngineVersion::kGolden, WideRrsetZone());
